@@ -25,6 +25,7 @@ from .types import (
     MixtureDataset,
     ModelParams,
     NumericError,
+    allele_sort_key,
 )
 
 _SIZE_FLOOR = 1e-12
@@ -89,34 +90,26 @@ def simulate_dataset(
     """
     if rng is None:
         rng = substream(0)
-    ev = MixtureLikelihood(template, h, freqs)
-    beta = params.beta
+    if genotypes is None:
+        ev = MixtureLikelihood(template, h, freqs)
+        ev.check_feasible()
+        probs = np.exp(ev.pair_log_probs(params.theta, params.sigma))
     markers = []
-    for i, t in enumerate(ev.terms):
-        if genotypes is not None:
-            g1, g2 = genotypes.pair(t.marker)
+    for i, md in enumerate(template.markers):
+        if genotypes is None:
+            b = ev.blocks[i]
+            j = rng.choice(b.stop - b.start, p=probs[b])
+            support = ev.alleles[i]
+            n1, n2 = ev.row_doses(i, j)
         else:
-            lw = ev.marker_pair_terms(i, params.theta, params.sigma)
-            if lw.size == 0 or not np.isfinite(lw).any():
-                raise NumericError(
-                    f"marker {t.marker!r}: hypothesis cannot explain the observed alleles"
-                )
-            probs = np.exp(lw - lw.max())
-            probs /= probs.sum()
-            g1, g2 = t.pairs[rng.choice(lw.size, p=probs)]
-        mf = _mean_fractions_arrays(g1, g2, params.theta)
-        support, mu = mf
-        w = rng.gamma(shape=beta * mu)
-        w = np.maximum(w, _SIZE_FLOOR)
-        markers.append(MarkerData(t.marker, support, w / w.sum()))
+            g1, g2 = genotypes.pair(md.marker)
+            support = tuple(sorted(g1.support() | g2.support(), key=allele_sort_key))
+            n1 = np.array([g1.count(a) for a in support], dtype=float)
+            n2 = np.array([g2.count(a) for a in support], dtype=float)
+        mu = 0.5 * (params.theta * n1 + (1.0 - params.theta) * n2)
+        w = np.maximum(rng.gamma(shape=params.beta * mu), _SIZE_FLOOR)
+        markers.append(MarkerData(md.marker, support, w / w.sum()))
     return MixtureDataset(tuple(markers))
-
-
-def _mean_fractions_arrays(g1, g2, theta: float):
-    from .model import mean_fractions
-
-    mf = mean_fractions(g1, g2, theta)
-    return mf.as_arrays()
 
 
 def bootstrap_lr(
@@ -137,6 +130,8 @@ def bootstrap_lr(
     """
     if genotype_mode not in ("posterior", "fixed"):
         raise ValueError(f"unknown genotype_mode {genotype_mode!r}")
+    if n < 1:
+        raise ValueError(f"replicate count must be positive, got {n}")
     baseline = fit_joint(ds, hp, freqs, opts)
     if not baseline.converged:
         raise NumericError("baseline fit did not converge")
@@ -146,11 +141,8 @@ def bootstrap_lr(
     fixed_cfg = None
     if genotype_mode == "fixed":
         ev = MixtureLikelihood(ds, hp, freqs)
-        idx = np.array(
-            [int(np.argmax(ev.marker_pair_terms(i, base_params.theta, base_params.sigma)))
-             for i in range(len(ev.terms))]
-        )
-        fixed_cfg = ev.config_from_indices(idx)
+        logp = ev.pair_log_probs(base_params.theta, base_params.sigma)
+        fixed_cfg = ev.config_from_indices([int(np.argmax(logp[b])) for b in ev.blocks])
 
     sig, the, lrs = [], [], []
     n_failed = 0

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .estimate import FitOptions, fit_joint
 from .gibbs import BetaPrior, bayes_config_probabilities, run_chain
@@ -25,7 +24,6 @@ from .types import (
     Hypothesis,
     MixtureDataset,
     ModelParams,
-    NumericError,
     Profile,
     allele_sort_key,
 )
@@ -65,16 +63,9 @@ def _config_sort_key(cfg: GenotypeConfig):
 
 
 def _marker_choice_probs(ev: MixtureLikelihood, theta: float, sigma: float) -> list[np.ndarray]:
-    probs = []
-    for i in range(len(ev.terms)):
-        lw = ev.marker_pair_terms(i, theta, sigma)
-        if lw.size == 0 or not np.isfinite(lw).any():
-            raise NumericError(
-                f"marker {ev.terms[i].marker!r}: hypothesis cannot explain the observed alleles"
-            )
-        p = np.exp(lw - lw.max())
-        probs.append(p / p.sum())
-    return probs
+    ev.check_feasible()
+    p = np.exp(ev.pair_log_probs(theta, sigma))
+    return [p[b] for b in ev.blocks]
 
 
 def sample_profile_pairs(
@@ -143,19 +134,13 @@ def exact_pair_probability(
 
 
 def _score_fixed(ev: MixtureLikelihood, configs, params: ModelParams) -> np.ndarray:
-    # per-marker normalized log-weights once, then gather per config
-    logw = []
-    for i in range(len(ev.terms)):
-        lw = ev.marker_pair_terms(i, params.theta, params.sigma)
-        logw.append(lw - logsumexp(lw))
-    out = np.empty(len(configs))
+    # per-row normalized log-weights once, then gather per config
+    logp = ev.pair_log_probs(params.theta, params.sigma)
+    out = np.zeros(len(configs))
     for c, cfg in enumerate(configs):
         idx = ev.config_indices(cfg)
-        out[c] = (
-            math.exp(sum(float(logw[m][j]) for m, j in enumerate(idx)))
-            if idx is not None
-            else 0.0
-        )
+        if idx is not None:
+            out[c] = math.exp(logp[ev.starts + idx].sum())
     return out
 
 
@@ -217,7 +202,7 @@ def certified_topk(
         configs = sample_profile_pairs(
             ds, h, freqs, chain_configs=chain_configs, seed=seed
         )
-        probs = bayes_config_probabilities(ds, h, sigma_samples, grid, freqs, configs, prior)
+        probs = bayes_config_probabilities(ds, h, sigma_samples, grid, freqs, configs)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 

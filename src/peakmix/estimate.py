@@ -18,12 +18,12 @@ from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
 from .likelihood import MixtureLikelihood, ThetaGrid
+from .model import beta_from_sigma
 from .types import (
     FrequencyTable,
     Hypothesis,
     MixtureDataset,
     ModelParams,
-    NumericError,
 )
 
 Z99 = 2.5758  # normal quantile for 99% Wald intervals
@@ -133,8 +133,7 @@ def fit_sigma(
     """Maximize the sigma-profile log likelihood over a bracketed interval."""
     opts = opts or FitOptions()
     ev = MixtureLikelihood(ds, h, freqs)
-    if not ev.feasible:
-        raise NumericError("hypothesis cannot explain the observed alleles")
+    ev.check_feasible()
     evals = 0
 
     def nll(s: float) -> float:
@@ -187,13 +186,12 @@ def fit_sigma(
 def _coarse_start(ev: MixtureLikelihood, symmetric: bool) -> tuple[float, float]:
     thetas = np.arange(0.5 if symmetric else 0.1, 0.951, 0.05)
     sigmas = np.array([0.02, 0.05, 0.08, 0.12, 0.2, 0.35])
-    best, arg = -math.inf, (0.7, 0.08)
-    for th in thetas:
-        for s in sigmas:
-            ll = ev.loglik(th, s)
-            if ll > best:
-                best, arg = ll, (float(th), float(s))
-    return arg
+    ll = np.column_stack([ev.grid_loglik(thetas, beta_from_sigma(s)) for s in sigmas])
+    k = int(np.argmax(ll))  # first maximum in theta-major order
+    if not np.isfinite(ll.flat[k]):
+        return 0.7, 0.08
+    i, j = divmod(k, sigmas.size)
+    return float(thetas[i]), float(sigmas[j])
 
 
 def fit_joint(
@@ -209,8 +207,7 @@ def fit_joint(
     """
     opts = opts or FitOptions()
     ev = MixtureLikelihood(ds, h, freqs)
-    if not ev.feasible:
-        raise NumericError("hypothesis cannot explain the observed alleles")
+    ev.check_feasible()
     evals = 0
 
     def loglik(theta: float, sigma: float) -> float:

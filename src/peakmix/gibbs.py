@@ -15,10 +15,10 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import digamma, gammaln, logsumexp
+from scipy.special import gammaln
 from scipy.stats import gamma as gamma_dist
 
-from .likelihood import MixtureLikelihood, ThetaGrid
+from .likelihood import MixtureLikelihood, ThetaGrid, lse
 from .model import sigma_from_beta
 from .streams import substream
 from .types import (
@@ -163,7 +163,7 @@ class _Hull:
         log_mass = np.empty(k)
         for j in range(k):
             log_mass[j] = self._segment_log_mass(j)
-        total = logsumexp(log_mass)
+        total = float(lse(log_mass))
         if not np.isfinite(total):
             raise NumericError("upper hull has non-finite mass")
         self.log_mass = log_mass
@@ -338,7 +338,7 @@ def ars_sample(
 
 
 class _GibbsEngine:
-    """Caches grid-dependent tensors so one sweep costs one gammaln pass."""
+    """One sweep reads the shared likelihood core: one (J, R) term table per beta."""
 
     def __init__(
         self,
@@ -349,59 +349,23 @@ class _GibbsEngine:
         freqs: FrequencyTable | None,
     ):
         self.ev = MixtureLikelihood(ds, h, freqs)
-        if not self.ev.feasible:
-            raise NumericError("hypothesis cannot explain the observed alleles")
+        self.ev.check_feasible()
         self.grid = grid
         self.prior = prior
-        th = grid.points[:, None, None]
-        # per marker: mean-fraction tensor (J, P, A), mu . log r (J, P), sum log r
-        self.mu = [0.5 * (th * t.n1 + (1.0 - th) * t.n2) for t in self.ev.terms]
-        self.mu_dot_logr = [m @ t.log_r for m, t in zip(self.mu, self.ev.terms)]
-        self.sum_logr = [float(t.log_r.sum()) for t in self.ev.terms]
         self.log_w = grid.log_weights
-
-    def pair_logliks(self, beta: float) -> list[np.ndarray]:
-        """Per-marker (J, P) arrays of log density + log prior at this beta."""
-        out = []
-        lgb = gammaln(beta)
-        for mu, mdl, slr, t in zip(self.mu, self.mu_dot_logr, self.sum_logr, self.ev.terms):
-            logdd = lgb - gammaln(beta * mu).sum(axis=2) + beta * mdl - slr
-            out.append(logdd + t.log_prior)
-        return out
-
-    def grid_loglik(self, beta: float) -> np.ndarray:
-        """Joint log likelihood at every grid point; shape (J,)."""
-        total = np.zeros(len(self.grid))
-        for tp in self.pair_logliks(beta):
-            total += logsumexp(tp, axis=1)
-        return total
-
-    def profile_loglik(self, beta: float) -> float:
-        return float(logsumexp(self.log_w + self.grid_loglik(beta)))
 
     def beta_conditional(self, pair_idx: np.ndarray, theta_index: int):
         """Log density (and derivative) of beta given genotypes and theta."""
-        theta = self.grid.points[theta_index]
-        mus, logrs = [], []
-        for i, t in enumerate(self.ev.terms):
-            p = pair_idx[i]
-            mus.append(0.5 * (theta * t.n1[p] + (1.0 - theta) * t.n2[p]))
-            logrs.append(t.log_r)
+        f, df = self.ev.config_beta_terms(pair_idx, self.grid.points[theta_index])
         prior = self.prior
 
         def logpdf(beta: float) -> float:
             if not 0.0 < beta:
                 return -math.inf
-            total = prior.logpdf(beta)
-            for mu, lr in zip(mus, logrs):
-                total += gammaln(beta) - gammaln(beta * mu).sum() + ((beta * mu - 1.0) * lr).sum()
-            return float(total)
+            return float(prior.logpdf(beta) + f(beta))
 
         def dlogpdf(beta: float) -> float:
-            total = prior.dlogpdf(beta)
-            for mu, lr in zip(mus, logrs):
-                total += digamma(beta) - (mu * digamma(beta * mu)).sum() + (mu * lr).sum()
-            return float(total)
+            return float(prior.dlogpdf(beta) + df(beta))
 
         return logpdf, dlogpdf
 
@@ -415,37 +379,26 @@ class _GibbsEngine:
     def step_indices(self, beta: float, rng) -> tuple[np.ndarray, int, float]:
         # step 1 conditions only on beta: (theta, genotypes) are drawn jointly,
         # genotypes marginalized out of the theta weights
-        tps = self.pair_logliks(beta)
-        logp = self.log_w.copy()
-        for tp in tps:
-            logp += logsumexp(tp, axis=1)
-        probs = np.exp(logp - logsumexp(logp))
+        ev = self.ev
+        terms = ev.pair_terms(self.grid.points, beta)
+        marg = ev.marker_lse(terms)
+        logp = self.log_w + marg.sum(axis=1)
+        probs = np.exp(logp - lse(logp))
         probs /= probs.sum()
         j = int(rng.choice(probs.size, p=probs))
-        new_idx = np.empty(len(tps), dtype=int)
-        for i, tp in enumerate(tps):
-            row = tp[j]
-            w = np.exp(row - logsumexp(row))
-            w /= w.sum()
-            new_idx[i] = int(rng.choice(w.size, p=w))
+        w = np.exp(terms[j] - marg[j, ev.row_marker])
+        new_idx = np.array(
+            [int(rng.choice(b.stop - b.start, p=w[b])) for b in ev.blocks], dtype=int
+        )
         new_beta = self.sample_beta(new_idx, j, beta, rng)
         return new_idx, j, new_beta
 
     def initial_indices(self) -> tuple[np.ndarray, int, float]:
         beta0 = self.prior.mean
         j0 = int(np.argmin(np.abs(self.grid.points - 0.5)))
-        tps = self.pair_logliks(beta0)
-        idx = np.array([int(np.argmax(tp[j0])) for tp in tps], dtype=int)
+        terms = self.ev.pair_terms(self.grid.points[j0:j0 + 1], beta0)[0]
+        idx = np.array([int(np.argmax(terms[b])) for b in self.ev.blocks], dtype=int)
         return idx, j0, beta0
-
-    def indices_to_config(self, idx: np.ndarray) -> GenotypeConfig:
-        return self.ev.config_from_indices(idx)
-
-    def config_to_indices(self, cfg: GenotypeConfig) -> np.ndarray:
-        out = self.ev.config_indices(cfg)
-        if out is None:
-            raise NumericError("configuration outside the enumerated support")
-        return out
 
 
 def gibbs_step(
@@ -459,9 +412,10 @@ def gibbs_step(
 ) -> ChainState:
     """One Gibbs sweep: (theta, genotypes) given beta, then beta given the rest."""
     eng = _GibbsEngine(ds, h, grid, prior, freqs)
-    eng.config_to_indices(state.genotypes)  # validate the incoming state
+    if eng.ev.config_indices(state.genotypes) is None:
+        raise NumericError("configuration outside the enumerated support")
     new_idx, j, beta = eng.step_indices(state.beta, rng)
-    return ChainState(eng.indices_to_config(new_idx), j, beta)
+    return ChainState(eng.ev.config_from_indices(new_idx), j, beta)
 
 
 def initial_state(
@@ -474,7 +428,7 @@ def initial_state(
     """Deterministic starting state: modal genotypes, middle theta, prior-mean beta."""
     eng = _GibbsEngine(ds, h, grid, prior, freqs)
     idx, j0, beta0 = eng.initial_indices()
-    return ChainState(eng.indices_to_config(idx), j0, beta0)
+    return ChainState(eng.ev.config_from_indices(idx), j0, beta0)
 
 
 def run_chain(
@@ -491,6 +445,8 @@ def run_chain(
     """Run one chain and summarize the recorded (sigma, theta, genotypes) draws."""
     if n <= burnin:
         raise ValueError("n must exceed burnin")
+    if thin < 1:
+        raise ValueError(f"thin must be a positive integer, got {thin}")
     eng = _GibbsEngine(ds, h, grid, prior, freqs)
     rng = substream(seed)
     idx, j, beta = eng.initial_indices()
@@ -501,7 +457,7 @@ def run_chain(
             sigmas.append(sigma_from_beta(beta))
             thetas.append(float(eng.grid.points[j]))
             betas.append(beta)
-            configs.append(eng.indices_to_config(idx))
+            configs.append(eng.ev.config_from_indices(idx))
     samples = ChainSamples(
         sigma=np.asarray(sigmas),
         theta=np.asarray(thetas),
@@ -539,10 +495,15 @@ def marginal_loglik_mc(
     freqs: FrequencyTable | None,
     betas: np.ndarray,
 ) -> tuple[float, float]:
-    """Monte Carlo log marginal likelihood over sigma draws, with naive stderr."""
-    eng = _GibbsEngine(ds, h, grid, prior, freqs)
-    vals = np.array([eng.profile_loglik(b) for b in betas])
-    log_mean = float(logsumexp(vals) - math.log(vals.size))
+    """Monte Carlo log marginal likelihood over sigma draws, with naive stderr.
+
+    `prior` is unused: the average is over the given beta draws.
+    """
+    ev = MixtureLikelihood(ds, h, freqs)
+    ev.check_feasible()
+    log_w = grid.log_weights
+    vals = np.array([lse(log_w + ev.grid_loglik(grid.points, b)) for b in betas])
+    log_mean = float(lse(vals) - math.log(vals.size))
     y = np.exp(vals - log_mean)
     se = float(y.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else math.nan
     return log_mean, se
@@ -596,33 +557,20 @@ def bayes_config_probabilities(
     grid: ThetaGrid,
     freqs: FrequencyTable | None,
     configs: Sequence[GenotypeConfig],
-    prior: BetaPrior | None = None,
 ) -> np.ndarray:
     """Average over sigma draws of exact config probabilities (theta on the grid)."""
-    eng = _GibbsEngine(ds, h, grid, prior or BetaPrior(), freqs)
-    idx_rows = []
-    supported = []
-    for c, cfg in enumerate(configs):
-        idx = eng.ev.config_indices(cfg)
-        if idx is not None:
-            idx_rows.append(idx)
-            supported.append(c)
+    ev = MixtureLikelihood(ds, h, freqs)
+    ev.check_feasible()
+    rows = [ev.config_indices(cfg) for cfg in configs]
+    supported = [c for c, idx in enumerate(rows) if idx is not None]
     probs = np.zeros(len(configs))
-    if not idx_rows:
+    if not supported:
         return probs
-    idx_mat = np.vstack(idx_rows)  # (C, M)
-    acc = np.zeros(idx_mat.shape[0])
+    idx_mat = np.vstack([rows[c] for c in supported])  # (C, M)
+    acc = np.zeros(len(supported))
     for s in np.asarray(sigma_samples, dtype=float):
-        beta = 1.0 / (s * s) - 1.0
-        tps = eng.pair_logliks(beta)
-        num = np.tile(eng.log_w, (idx_mat.shape[0], 1))  # (C, J)
-        den = eng.log_w.copy()
-        for m, tp in enumerate(tps):
-            num += tp[:, idx_mat[:, m]].T
-            den += logsumexp(tp, axis=1)
-        acc += np.exp(logsumexp(num, axis=1) - logsumexp(den))
-    acc /= len(sigma_samples)
-    probs[supported] = acc
+        acc += np.exp(ev.config_log_prob_profile(idx_mat, grid, s))
+    probs[supported] = acc / len(sigma_samples)
     return probs
 
 

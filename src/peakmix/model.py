@@ -101,13 +101,8 @@ def enumerate_genotype_pairs(observed: Iterable[str]) -> list[tuple[Genotype, Ge
     obs = frozenset(labs)
     if not 1 <= len(labs) <= 4:
         return []
-    genotypes = all_genotypes(labs)
-    return [
-        (g1, g2)
-        for g1 in genotypes
-        for g2 in genotypes
-        if g1.support() | g2.support() == obs
-    ]
+    genotypes = [(g, g.support()) for g in all_genotypes(labs)]
+    return [(g1, g2) for g1, s1 in genotypes for g2, s2 in genotypes if s1 | s2 == obs]
 
 
 def hw_genotype_log_prior(g: Genotype, marker: str, freqs: FrequencyTable) -> float:

@@ -382,3 +382,28 @@ class TestCliRuns:
         assert code == 2
         err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert "slot" in err["message"]
+
+    @pytest.mark.parametrize(
+        "args, needle",
+        [
+            (["fit", "--theta-grid", "0"], "step"),
+            (["bootstrap", "--n", "0"], "replicate count"),
+            (["bootstrap", "--n", "-3"], "replicate count"),
+            (["gibbs", "--thin", "0"], "thin"),
+        ],
+    )
+    def test_invalid_numeric_option_exits_2(self, tmp_path, capsys, args, needle):
+        code = main(
+            args
+            + [
+                "--peaks", str(DATA / "perlin_peaks.csv"),
+                "--freqs", str(DATA / "perlin_freqs_synthetic.csv"),
+                "--out", str(tmp_path),
+            ]
+        )
+        assert code == 2
+        lines = capsys.readouterr().err.strip().splitlines()
+        assert len(lines) == 1
+        err = json.loads(lines[0])
+        assert err["error"] == "data"
+        assert needle in err["message"]

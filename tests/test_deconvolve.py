@@ -92,7 +92,7 @@ class TestSampleProfilePairs:
             rng = substream(17, chunk)
             draws = rng.choice(len(probs), size=1000, p=probs)
             for d in draws:
-                counts[ev.terms[0].pairs[d]] = counts.get(ev.terms[0].pairs[d], 0) + 1
+                counts[ev.pairs[0][d]] = counts.get(ev.pairs[0][d], 0) + 1
         for pair, p in exact.items():
             se = math.sqrt(p * (1 - p) / n)
             assert counts.get(pair, 0) / n == pytest.approx(p, abs=3 * se + 1e-4)

@@ -9,6 +9,7 @@ from scipy.stats import chisquare, gamma as gamma_dist, kstest
 
 from peakmix.gibbs import (
     BetaPrior,
+    _GibbsEngine,
     ChainState,
     ConcavityError,
     ars_sample,
@@ -19,8 +20,13 @@ from peakmix.gibbs import (
     initial_state,
     run_chain,
 )
-from peakmix.likelihood import ThetaGrid, loglik_joint, marker_loglik
-from peakmix.model import beta_from_sigma, enumerate_genotype_pairs, sigma_from_beta
+from peakmix.likelihood import MixtureLikelihood, ThetaGrid, loglik_joint, marker_loglik
+from peakmix.model import (
+    beta_from_sigma,
+    enumerate_genotype_pairs,
+    log_dirichlet_density,
+    sigma_from_beta,
+)
 from peakmix.streams import substream
 from peakmix.types import (
     FrequencyTable,
@@ -212,7 +218,59 @@ class TestGibbsStep:
         assert kstest(draws, cdf).pvalue > 0.01
 
 
+    def test_beta_conditional_matches_dirichlet_sum(self, perlin_ds, perlin_minor, perlin_freqs_synth):
+        # the dose-histogram form of the beta conditional against the prior
+        # plus a per-marker sum of Dirichlet densities, and its derivative
+        # against a central difference
+        prior = BetaPrior()
+        eng = _GibbsEngine(perlin_ds, Hypothesis(known2=perlin_minor), GRID, prior, perlin_freqs_synth)
+        idx, _, _ = eng.initial_indices()
+        cfg = eng.ev.config_from_indices(idx)
+        j = 68
+        theta = GRID.points[j]
+        logpdf, dlogpdf = eng.beta_conditional(idx, j)
+        for beta in (5.0, 50.0, 176.4, 2000.0, 3.0e4):
+            want = prior.logpdf(beta)
+            for md in perlin_ds.markers:
+                g1, g2 = cfg.pair(md.marker)
+                mu = np.array(
+                    [0.5 * (theta * g1.count(a) + (1 - theta) * g2.count(a)) for a in md.alleles]
+                )
+                want += log_dirichlet_density(md.rel_sizes, beta * mu)
+            assert logpdf(beta) == pytest.approx(want, rel=1e-12, abs=1e-9)
+            step = 1e-5 * beta
+            central = (logpdf(beta + step) - logpdf(beta - step)) / (2 * step)
+            assert dlogpdf(beta) == pytest.approx(central, rel=1e-6, abs=1e-7)
+
+
+# (theta index, hex pair index per marker) of the first 30 sweeps of a
+# seed-0 Perlin chain, both contributors unknown, as drawn by the earlier
+# per-marker evaluator: each sweep makes one theta choice, then one pair
+# choice per marker, then the ARS beta draw, all from substream(0)
+PINNED_THETA_INDEX = [
+    27, 30, 63, 28, 30, 69, 68, 30, 31, 31, 28, 68, 30, 68, 29,
+    29, 29, 32, 69, 30, 67, 31, 31, 71, 65, 31, 68, 67, 29, 31,
+]
+PINNED_PAIRS = [
+    "1348276125", "1348206125", "431035a492", "1348276125", "1348206120",
+    "431035a491", "431035a491", "13482b6120", "1348276120", "1348206120",
+    "1348276125", "431035a491", "1348276125", "431035a492", "1348276125",
+    "1348276125", "1348276120", "13482b6120", "431035a491", "1348276125",
+    "431035a491", "1348276125", "1348276120", "431035a491", "431038a492",
+    "1348276125", "431035a491", "431035a492", "13482b6120", "1348206120",
+]
+
+
 class TestRunChain:
+    def test_draw_order_pinned(self, perlin_ds, perlin_freqs_synth):
+        h = Hypothesis()
+        samples, _ = run_chain(
+            perlin_ds, h, GRID, BetaPrior(), perlin_freqs_synth, n=30, burnin=0, thin=1, seed=0
+        )
+        ev = MixtureLikelihood(perlin_ds, h, perlin_freqs_synth)
+        assert [int(round(t / 0.01)) - 1 for t in samples.theta] == PINNED_THETA_INDEX
+        assert ["".join(f"{i:x}" for i in ev.config_indices(c)) for c in samples.configs] == PINNED_PAIRS
+
     def test_deterministic_under_seed(self, one_marker):
         ds, freqs = one_marker
         args = (ds, Hypothesis(), GRID, BetaPrior(), freqs)

@@ -283,3 +283,36 @@ class TestLog10Lr:
         params = ModelParams(0.7, 0.08)
         got = log10_lr(toy_ds, Hypothesis(), Hypothesis(known1=bad), params, params, toy_freqs)
         assert got == math.inf
+
+
+class TestSufficientStatisticCore:
+    """The dose-histogram core against the per-pair brute-force oracle on Perlin."""
+
+    @pytest.mark.parametrize("sigma", [0.005, 0.08, 0.5])
+    @pytest.mark.parametrize("fix", ["none", "one", "both"])
+    def test_matches_brute_force_on_perlin(
+        self, perlin_ds, perlin_major, perlin_minor, perlin_freqs_synth, fix, sigma
+    ):
+        h = {
+            "none": Hypothesis(),
+            "one": Hypothesis(known2=perlin_minor),
+            "both": Hypothesis(known1=perlin_major, known2=perlin_minor),
+        }[fix]
+        grid = ThetaGrid.uniform(0.01)
+        ev = MixtureLikelihood(perlin_ds, h, perlin_freqs_synth)
+        want = np.array(
+            [
+                [brute_marker_loglik(md, h, ModelParams(t, sigma), perlin_freqs_synth) for t in grid.points]
+                for md in perlin_ds.markers
+            ]
+        )
+        on_grid = ev.marker_logliks(grid.points, sigma)
+        by_point = np.column_stack([ev.marker_logliks(np.array([t]), sigma)[:, 0] for t in grid.points])
+        np.testing.assert_allclose(on_grid, want, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(by_point, want, rtol=0, atol=1e-9)
+        for t in (grid.points[0], 0.69, grid.points[-1]):
+            assert ev.loglik(t, sigma) == pytest.approx(
+                sum(brute_marker_loglik(md, h, ModelParams(t, sigma), perlin_freqs_synth)
+                    for md in perlin_ds.markers),
+                abs=1e-9,
+            )
