@@ -16,18 +16,16 @@ from .deconvolve import (
     exact_pair_probability,
     sample_profile_pairs,
 )
-from .estimate import FitOptions, FitResult, fit_joint, fit_sigma, numerical_hessian
+from .estimate import FitResult, fit_joint, fit_sigma
 from .gibbs import (
     BayesLR,
     BetaPrior,
     ChainSamples,
-    ChainState,
     ConcavityError,
     PosteriorSummary,
     ars_sample,
     bayes_log10_lr,
     bayes_pair_probability,
-    gibbs_step,
     run_chain,
 )
 from .likelihood import (

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .estimate import FitOptions, FitResult, fit_joint
+from .estimate import FitResult, fit_joint
 from .likelihood import MixtureLikelihood, log10_lr
 from .streams import RNG_ALGORITHM, substream
 from .types import (
@@ -119,7 +119,6 @@ def bootstrap_lr(
     freqs: FrequencyTable | None,
     n: int,
     seed: int = 0,
-    opts: FitOptions | None = None,
     genotype_mode: str = "posterior",
 ) -> BootstrapReport:
     """Parametric bootstrap of (sigma, theta, log10 LR) under hp.
@@ -132,7 +131,7 @@ def bootstrap_lr(
         raise ValueError(f"unknown genotype_mode {genotype_mode!r}")
     if n < 1:
         raise ValueError(f"replicate count must be positive, got {n}")
-    baseline = fit_joint(ds, hp, freqs, opts)
+    baseline = fit_joint(ds, hp, freqs)
     if not baseline.converged:
         raise NumericError("baseline fit did not converge")
     base_params = baseline.params
@@ -150,7 +149,7 @@ def bootstrap_lr(
         rng = substream(seed, i)
         try:
             sim = simulate_dataset(ds, hp, base_params, freqs, rng, genotypes=fixed_cfg)
-            refit = fit_joint(sim, hp, freqs, opts)
+            refit = fit_joint(sim, hp, freqs)
             if not refit.converged:
                 raise NumericError("replicate fit did not converge")
             p = refit.params

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .estimate import FitOptions, fit_joint
+from .estimate import fit_joint
 from .gibbs import BetaPrior, bayes_config_probabilities, run_chain
 from .likelihood import MixtureLikelihood, ThetaGrid
 from .streams import substream
@@ -89,6 +89,8 @@ def sample_profile_pairs(
         raise ValueError("pass exactly one of params or chain_configs")
     if chain_configs is not None:
         return sorted(dict.fromkeys(chain_configs), key=_config_sort_key)
+    if n_samples < 1:
+        raise ValueError(f"sample count must be positive, got {n_samples}")
 
     ev = MixtureLikelihood(ds, h, freqs)
     probs = _marker_choice_probs(ev, params.theta, params.sigma)
@@ -169,7 +171,6 @@ def certified_topk(
     n_samples: int = 100_000,
     seed: int = 0,
     truth: tuple[Profile, Profile] | None = None,
-    fit_opts: FitOptions | None = None,
 ) -> RankedPairList:
     """Sample configurations, score each exactly, and certify the top k.
 
@@ -182,7 +183,7 @@ def certified_topk(
     """
     if mode == "mle":
         if params is None:
-            params = fit_joint(ds, h, freqs, fit_opts).params
+            params = fit_joint(ds, h, freqs).params
         configs = sample_profile_pairs(
             ds, h, freqs, params=params, n_samples=n_samples, seed=seed
         )

@@ -1,24 +1,27 @@
 """Maximum likelihood fitting of (theta, sigma) with Wald uncertainty.
 
-The one-parameter fit maximizes the sigma-profile likelihood by bounded
-1-d search; the two-parameter fit runs Nelder-Mead on logit-transformed
-coordinates (keeping iterates interior) followed by coordinate parabolic
-polish. Standard errors come from central-difference second derivatives
-on the original scale.
+Both fits run Newton's method on the analytic derivatives of the
+likelihood core (`MixtureLikelihood.grid_derivatives`). The joint fit
+works on (logit theta, log beta) from the best point of a coarse
+(theta, sigma) grid; the sigma-only fit works on log beta, with theta
+averaged over the grid prior and sigma clamped to [SIGMA_MIN, SIGMA_MAX].
+Each step is halved until the log likelihood is finite and does not
+fall. Where the Hessian is not negative definite the step follows the
+gradient plus the direction of largest curvature, which leaves saddle
+points. Standard errors come from the analytic Hessian on the
+(sigma, theta) scale.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 from scipy.special import expit, logit
 
-from .likelihood import MixtureLikelihood, ThetaGrid
-from .model import beta_from_sigma
+from .likelihood import MixtureLikelihood, ThetaGrid, lse
+from .model import beta_from_sigma, sigma_from_beta
 from .types import (
     FrequencyTable,
     Hypothesis,
@@ -28,21 +31,15 @@ from .types import (
 
 Z99 = 2.5758  # normal quantile for 99% Wald intervals
 
+SIGMA_MIN = 0.005
+SIGMA_MAX = 0.5
+
 _DOMAIN_EPS = 1e-9
-
-
-@dataclass(frozen=True)
-class FitOptions:
-    """Tuning knobs for the likelihood maximizers."""
-
-    sigma_lo: float = 0.005
-    sigma_hi: float = 0.5
-    max_evals: int = 200
-    xatol: float = 1e-6
-    f_atol: float = 1e-7
-    max_evals_joint: int = 4000
-    polish_rounds: int = 2
-    start: tuple[float, float] | None = None
+_START_SIGMAS = (0.02, 0.05, 0.08, 0.12, 0.2, 0.35)
+_MAX_ITER = 100
+_MAX_STEP = 2.0  # longest step in the transformed coordinates
+_STEP_TOL = 1e-9
+_GAIN_TOL = 1e-10  # relative to the log likelihood
 
 
 @dataclass(frozen=True)
@@ -83,44 +80,77 @@ class FitResult:
         }
 
 
-def numerical_hessian(
-    f: Callable[[np.ndarray], float],
-    x: Sequence[float],
-    steps: Sequence[float],
-) -> np.ndarray:
-    """Symmetric central-difference Hessian of f at x."""
-    x = np.asarray(x, dtype=float)
-    steps = np.asarray(steps, dtype=float)
-    if np.any(steps <= 0):
-        raise ValueError("step sizes must be positive")
-    k = x.size
-    hess = np.empty((k, k))
-    f0 = f(x)
-    for i in range(k):
-        ei = np.zeros(k)
-        ei[i] = steps[i]
-        hess[i, i] = (f(x + ei) - 2.0 * f0 + f(x - ei)) / steps[i] ** 2
-        for j in range(i + 1, k):
-            ej = np.zeros(k)
-            ej[j] = steps[j]
-            hess[i, j] = hess[j, i] = (
-                f(x + ei + ej) - f(x + ei - ej) - f(x - ei + ej) + f(x - ei - ej)
-            ) / (4.0 * steps[i] * steps[j])
-    return 0.5 * (hess + hess.T)
-
-
 def _clip_interval(lo: float, hi: float) -> tuple[float, float]:
     return (max(lo, _DOMAIN_EPS), min(hi, 1.0 - _DOMAIN_EPS))
 
 
-def _fd_step(estimate: float) -> float:
-    # balances truncation against roundoff in the loglik evaluations
-    return max(1e-4, 1e-3 * estimate)
+def _reparam(grad: np.ndarray, hess: np.ndarray, d1: np.ndarray, d2: np.ndarray):
+    """Gradient and Hessian after a coordinate-wise change of variables.
+
+    d1 and d2 hold each old coordinate's first and second derivative with
+    respect to its new one.
+    """
+    return grad * d1, hess * np.outer(d1, d1) + np.diag(grad * d2)
 
 
-def _safe_step(x: float, step: float) -> float:
-    """Shrink a stencil step so x +/- step stays inside (0, 1)."""
-    return min(step, 0.5 * x, 0.5 * (1.0 - x))
+def _newton(derivs, z: np.ndarray, lo=-math.inf, hi=math.inf):
+    """Maximize f from z by Newton steps with step halving; derivs(z) -> (f, grad, hess).
+
+    Iterates are clipped to [lo, hi]. Returns the final point, whether it
+    converged and the number of derivative evaluations.
+    """
+
+    def evaluate(z):
+        with np.errstate(all="ignore"):  # non-finite trial values are rejected below
+            f, g, h = derivs(z)
+        return f, g, h, bool(np.isfinite(f) and np.all(np.isfinite(g)) and np.all(np.isfinite(h)))
+
+    f, g, h, ok = evaluate(z)
+    evals = 1
+    if not ok:
+        return z, False, evals
+    for _ in range(_MAX_ITER):
+        eig, vec = np.linalg.eigh(h)
+        newton = bool(eig[-1] < 0)
+        if newton:
+            step = -vec @ ((vec.T @ g) / eig)
+        else:
+            # ascent along the gradient plus the direction of largest curvature
+            v = vec[:, -1]
+            step = g / max(1.0, float(np.linalg.norm(g))) + math.copysign(1.0, g @ v) * v
+        length = float(np.linalg.norm(step))
+        if length > _MAX_STEP:
+            step *= _MAX_STEP / length
+        # a Newton step whose predicted gain is lost in rounding is taken unchecked
+        small = newton and -0.5 * float(g @ step) <= _GAIN_TOL * (1.0 + abs(f))
+        t = 1.0
+        while True:
+            trial = np.clip(z + t * step, lo, hi)
+            ft, gt, ht, ok = evaluate(trial)
+            evals += 1
+            if np.max(np.abs(trial - z)) <= _STEP_TOL:
+                # the step is spent: a stationary point, a bound, or a failed search
+                return (trial, newton or t == 1.0, evals) if ok else (z, False, evals)
+            if ok and (small or ft >= f):
+                break
+            t *= 0.5
+        z, f, g, h = trial, ft, gt, ht
+    return z, False, evals
+
+
+def _profile_derivatives(ev: MixtureLikelihood, grid: ThetaGrid, beta: float):
+    """Sigma-profile log likelihood and its first two derivatives in beta.
+
+    The derivatives are moments of the beta-gradient under the theta
+    posterior on the grid: E[g] and E[h] + Var[g].
+    """
+    ll, g, h = ev.grid_derivatives(grid.points, beta)
+    logp = grid.log_weights + ll
+    prof = float(lse(logp))
+    p = np.exp(logp - prof)
+    gb = g[:, 1]
+    mean = float(p @ gb)
+    return prof, mean, float(p @ (h[:, 1, 1] + (gb - mean) ** 2))
 
 
 def fit_sigma(
@@ -128,35 +158,27 @@ def fit_sigma(
     h: Hypothesis,
     grid: ThetaGrid,
     freqs: FrequencyTable | None = None,
-    opts: FitOptions | None = None,
 ) -> FitResult:
-    """Maximize the sigma-profile log likelihood over a bracketed interval."""
-    opts = opts or FitOptions()
+    """Maximize the sigma-profile log likelihood over [SIGMA_MIN, SIGMA_MAX]."""
     ev = MixtureLikelihood(ds, h, freqs)
     ev.check_feasible()
-    evals = 0
 
-    def nll(s: float) -> float:
-        nonlocal evals
-        evals += 1
-        return -ev.profile_loglik(grid, s)
+    def derivs(z):
+        beta = math.exp(z[0])
+        f, g, hb = _profile_derivatives(ev, grid, beta)
+        return f, np.array([g * beta]), np.array([[hb * beta**2 + g * beta]])
 
-    res = minimize_scalar(
-        nll,
-        bounds=(opts.sigma_lo, opts.sigma_hi),
-        method="bounded",
-        options={"xatol": opts.xatol, "maxiter": opts.max_evals},
-    )
-    sigma_hat = float(res.x)
-    converged = bool(res.success)
-    boundary = (
-        sigma_hat - opts.sigma_lo <= 50 * opts.xatol
-        or opts.sigma_hi - sigma_hat <= 50 * opts.xatol
-    )
+    lo, hi = math.log(beta_from_sigma(SIGMA_MAX)), math.log(beta_from_sigma(SIGMA_MIN))
+    start = max(_START_SIGMAS, key=lambda s: ev.profile_loglik(grid, s))
+    z, converged, evals = _newton(derivs, np.array([math.log(beta_from_sigma(start))]), lo, hi)
+    boundary = bool(z[0] <= lo or z[0] >= hi)
+    beta = math.exp(z[0])
+    sigma_hat = min(max(sigma_from_beta(beta), SIGMA_MIN), SIGMA_MAX)
+    ll0, g, hb = _profile_derivatives(ev, grid, beta)
+    evals += 1
 
-    step = _safe_step(sigma_hat, _fd_step(sigma_hat))
-    ll0 = -nll(sigma_hat)
-    d2 = (-nll(sigma_hat + step) - 2.0 * ll0 + -nll(sigma_hat - step)) / step**2
+    # d beta / d sigma = -2 sigma^-3, d2 beta / d sigma2 = 6 sigma^-4
+    d2 = hb * 4.0 * sigma_hat**-6 + g * 6.0 * sigma_hat**-4
     warnings: list[str] = []
     if d2 < 0:
         var = -1.0 / d2
@@ -185,7 +207,9 @@ def fit_sigma(
 
 def _coarse_start(ev: MixtureLikelihood, symmetric: bool) -> tuple[float, float]:
     thetas = np.arange(0.5 if symmetric else 0.1, 0.951, 0.05)
-    sigmas = np.array([0.02, 0.05, 0.08, 0.12, 0.2, 0.35])
+    if symmetric:
+        thetas[0] = 0.51  # theta = 1/2 is stationary by symmetry: a Newton step keeps theta there
+    sigmas = np.array(_START_SIGMAS)
     ll = np.column_stack([ev.grid_loglik(thetas, beta_from_sigma(s)) for s in sigmas])
     k = int(np.argmax(ll))  # first maximum in theta-major order
     if not np.isfinite(ll.flat[k]):
@@ -194,78 +218,51 @@ def _coarse_start(ev: MixtureLikelihood, symmetric: bool) -> tuple[float, float]
     return float(thetas[i]), float(sigmas[j])
 
 
+def _joint_newton(ev: MixtureLikelihood, start: tuple[float, float]):
+    """Newton on (logit theta, log beta) from start = (theta, sigma).
+
+    Returns (theta, sigma, converged, derivative evaluations).
+    """
+
+    def derivs(z):
+        theta, beta = expit(z[0]), math.exp(z[1])
+        ll, g, h = ev.grid_derivatives(np.array([theta]), beta)
+        jt = theta * (1.0 - theta)
+        d1 = np.array([jt, beta])
+        d2 = np.array([jt * (1.0 - 2.0 * theta), beta])
+        return (ll[0], *_reparam(g[0], h[0], d1, d2))
+
+    z0 = np.array([logit(start[0]), math.log(beta_from_sigma(start[1]))])
+    z, converged, evals = _newton(derivs, z0)
+    return float(expit(z[0])), sigma_from_beta(math.exp(z[1])), converged, evals
+
+
 def fit_joint(
     ds: MixtureDataset,
     h: Hypothesis,
     freqs: FrequencyTable | None = None,
-    opts: FitOptions | None = None,
 ) -> FitResult:
     """Joint maximum likelihood fit of (theta, sigma) with Wald 99% intervals.
 
     With both contributors unknown the likelihood is symmetric in
     theta <-> 1-theta; the maximum with theta >= 0.5 is reported.
     """
-    opts = opts or FitOptions()
     ev = MixtureLikelihood(ds, h, freqs)
     ev.check_feasible()
-    evals = 0
-
-    def loglik(theta: float, sigma: float) -> float:
-        nonlocal evals
-        evals += 1
-        return ev.loglik(theta, sigma)
-
-    def nll_z(z: np.ndarray) -> float:
-        return -loglik(float(expit(z[0])), float(expit(z[1])))
-
-    start = opts.start or _coarse_start(ev, h.both_unknown)
-    z0 = np.array([logit(start[0]), logit(start[1])])
-    res = minimize(
-        nll_z,
-        z0,
-        method="Nelder-Mead",
-        options={
-            "fatol": opts.f_atol * 1e-2,
-            "xatol": 1e-8,
-            "maxfev": opts.max_evals_joint,
-        },
-    )
-    theta_hat = float(expit(res.x[0]))
-    sigma_hat = float(expit(res.x[1]))
-    converged = bool(res.success)
+    theta_hat, sigma_hat, converged, evals = _joint_newton(ev, _coarse_start(ev, h.both_unknown))
     warnings: list[str] = []
-
-    # coordinate parabolic polish on the original scale
-    for _ in range(opts.polish_rounds):
-        r = minimize_scalar(
-            lambda t: -loglik(t, sigma_hat),
-            bounds=_clip_interval(theta_hat - 0.02, theta_hat + 0.02),
-            method="bounded",
-            options={"xatol": 1e-9},
-        )
-        theta_hat = float(r.x)
-        r = minimize_scalar(
-            lambda s: -loglik(theta_hat, s),
-            bounds=_clip_interval(sigma_hat - 0.02, sigma_hat + 0.02),
-            method="bounded",
-            options={"xatol": 1e-9},
-        )
-        sigma_hat = float(r.x)
-
     if h.both_unknown:
         warnings.append("theta-symmetric-ridge")
         if theta_hat < 0.5:
             theta_hat = 1.0 - theta_hat
 
-    ll0 = loglik(theta_hat, sigma_hat)
-    x_hat = np.array([sigma_hat, theta_hat])
-    steps = np.array(
-        [
-            _safe_step(sigma_hat, _fd_step(sigma_hat)),
-            _safe_step(theta_hat, _fd_step(theta_hat)),
-        ]
+    ll, g, hess = ev.grid_derivatives(np.array([theta_hat]), beta_from_sigma(sigma_hat))
+    evals += 1
+    # to (theta, sigma): d beta / d sigma = -2 sigma^-3, d2 beta / d sigma2 = 6 sigma^-4
+    _, hess = _reparam(
+        g[0], hess[0], np.array([1.0, -2.0 * sigma_hat**-3]), np.array([0.0, 6.0 * sigma_hat**-4])
     )
-    hess = numerical_hessian(lambda x: loglik(x[1], x[0]), x_hat, steps)
+    hess = hess[::-1, ::-1]  # (sigma, theta) order
 
     eigs = np.linalg.eigvalsh(hess)
     if np.all(eigs < 0):
@@ -287,7 +284,7 @@ def fit_joint(
     return FitResult(
         sigma=sigma_hat,
         theta=theta_hat,
-        loglik=ll0,
+        loglik=float(ll[0]),
         se={"sigma": se_sigma, "theta": se_theta},
         cov=cov,
         ci99=ci,

@@ -15,8 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincinv, gammaln
 
 from .likelihood import MixtureLikelihood, ThetaGrid, lse
 from .model import sigma_from_beta
@@ -68,18 +67,9 @@ class BetaPrior:
     def sigma_interval(self, level: float = 0.95) -> tuple[float, float]:
         """Central prior interval for sigma implied by the beta prior."""
         q = (1.0 - level) / 2.0
-        b_lo = gamma_dist.ppf(q, self.shape, scale=self.scale)
-        b_hi = gamma_dist.ppf(1.0 - q, self.shape, scale=self.scale)
+        b_lo = gammaincinv(self.shape, q) * self.scale
+        b_hi = gammaincinv(self.shape, 1.0 - q) * self.scale
         return (sigma_from_beta(b_hi), sigma_from_beta(b_lo))
-
-
-@dataclass(frozen=True)
-class ChainState:
-    """Current genotype configuration, theta grid index and beta."""
-
-    genotypes: GenotypeConfig
-    theta_index: int
-    beta: float
 
 
 @dataclass(frozen=True)
@@ -401,36 +391,6 @@ class _GibbsEngine:
         return idx, j0, beta0
 
 
-def gibbs_step(
-    state: ChainState,
-    ds: MixtureDataset,
-    h: Hypothesis,
-    grid: ThetaGrid,
-    prior: BetaPrior,
-    freqs: FrequencyTable | None,
-    rng: np.random.Generator,
-) -> ChainState:
-    """One Gibbs sweep: (theta, genotypes) given beta, then beta given the rest."""
-    eng = _GibbsEngine(ds, h, grid, prior, freqs)
-    if eng.ev.config_indices(state.genotypes) is None:
-        raise NumericError("configuration outside the enumerated support")
-    new_idx, j, beta = eng.step_indices(state.beta, rng)
-    return ChainState(eng.ev.config_from_indices(new_idx), j, beta)
-
-
-def initial_state(
-    ds: MixtureDataset,
-    h: Hypothesis,
-    grid: ThetaGrid,
-    prior: BetaPrior,
-    freqs: FrequencyTable | None = None,
-) -> ChainState:
-    """Deterministic starting state: modal genotypes, middle theta, prior-mean beta."""
-    eng = _GibbsEngine(ds, h, grid, prior, freqs)
-    idx, j0, beta0 = eng.initial_indices()
-    return ChainState(eng.ev.config_from_indices(idx), j0, beta0)
-
-
 def run_chain(
     ds: MixtureDataset,
     h: Hypothesis,
@@ -445,6 +405,8 @@ def run_chain(
     """Run one chain and summarize the recorded (sigma, theta, genotypes) draws."""
     if n <= burnin:
         raise ValueError("n must exceed burnin")
+    if burnin < 0:
+        raise ValueError(f"burnin must be non-negative, got {burnin}")
     if thin < 1:
         raise ValueError(f"thin must be a positive integer, got {thin}")
     eng = _GibbsEngine(ds, h, grid, prior, freqs)

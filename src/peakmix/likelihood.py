@@ -18,7 +18,8 @@ sum log r. The log density plus prior of every row at every theta is then
 
 one (J, 8) gammaln table and one matmul for all rows of all markers. The
 sum over pairs is a segmented log-sum-exp over each marker's contiguous
-block of rows.
+block of rows. Derivatives in (theta, beta) need only digamma and trigamma
+of the same eight values, since d mu8 / d theta = (n1 - n2) / 2.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import digamma, gammaln
+from scipy.special import digamma, gammaln, polygamma
 
 from .model import (
     all_genotypes,
@@ -50,6 +51,7 @@ from .types import (
 
 # dose code k <-> (n1, n2) = divmod(k + 1, 3); (0, 0) never meets an observed allele
 _N1, _N2 = np.array([divmod(k + 1, 3) for k in range(8)], dtype=float).T
+_DMU = 0.5 * (_N1 - _N2)  # d mu8 / d theta
 
 
 def _dose_means(theta):
@@ -213,10 +215,6 @@ class MixtureLikelihood:
         self._seg_starts = self.starts[self._nonempty]
         self._row_seg = np.repeat(np.arange(self._seg_starts.size), sizes[self._nonempty])
 
-    @property
-    def feasible(self) -> bool:
-        return all(self.pairs)
-
     def check_feasible(self):
         """Raise NumericError naming the first marker no admissible pair explains."""
         for marker, pairs in zip(self.markers, self.pairs):
@@ -239,6 +237,49 @@ class MixtureLikelihood:
         lin = 0.5 * (th * self.l1 + (1.0 - th) * self.l2)
         dirichlet_norm = gammaln(beta) - gammaln(beta * _dose_means(thetas)) @ self.hist.T
         return dirichlet_norm + beta * lin + self._const
+
+    def grid_derivatives(self, thetas, beta: float):
+        """Log likelihood with its gradient and Hessian in (theta, beta), per theta.
+
+        Returns shapes (J,), (J, 2) and (J, 2, 2). Each row's derivatives
+        come from digamma and trigamma of the (J, 8) table beta * mu8; a
+        marker's gradient g is the mean of its rows' gradients under their
+        posterior weights, and its Hessian the weighted mean of
+        (row Hessian + g g^T) minus the outer product of that mean.
+        """
+        th = np.asarray(thetas, dtype=float)
+        mu = _dose_means(th)
+        x = beta * mu
+        psi, psi1 = digamma(x), polygamma(1, x)
+        lin = 0.5 * (th[:, None] * self.l1 + (1.0 - th[:, None]) * self.l2)
+        dlin = 0.5 * (self.l1 - self.l2)
+        terms = self.pair_terms(th, beta)
+        marginal = self.marker_lse(terms)
+        # dose-code coefficients of the row derivatives, all rows in one matmul
+        coef = np.stack(
+            [
+                beta * psi * _DMU,
+                psi * mu,
+                beta**2 * psi1 * _DMU**2,
+                _DMU * (psi + x * psi1),
+                psi1 * mu**2,
+            ]
+        )
+        gt, gb, htt, htb, hbb = -(coef @ self.hist.T)
+        gt += beta * dlin
+        gb += digamma(beta) + lin
+        htb += dlin
+        hbb += polygamma(1, beta)
+        w = np.exp(terms - marginal[:, self.row_marker])
+        wg = w * np.stack([gt, gb])
+        mt, mb = wg @ (self.row_marker[:, None] == np.arange(len(self.pairs)))  # per marker
+        grad = wg.sum(axis=-1).T
+        hess = np.empty((th.size, 2, 2))
+        hess[:, 0, 0] = (w * (htt + gt * gt)).sum(axis=1) - (mt * mt).sum(axis=1)
+        hess[:, 0, 1] = (w * (htb + gt * gb)).sum(axis=1) - (mt * mb).sum(axis=1)
+        hess[:, 1, 1] = (w * (hbb + gb * gb)).sum(axis=1) - (mb * mb).sum(axis=1)
+        hess[:, 1, 0] = hess[:, 0, 1]
+        return marginal.sum(axis=1), grad, hess
 
     def marker_lse(self, terms: np.ndarray) -> np.ndarray:
         """Per-marker log-sum-exp of row terms; shape (J, M), -inf where no pair exists."""
@@ -284,13 +325,9 @@ class MixtureLikelihood:
     def loglik(self, theta: float, sigma: float) -> float:
         return float(self.grid_loglik(np.array([theta]), beta_from_sigma(sigma))[0])
 
-    def loglik_grid(self, grid: ThetaGrid, sigma: float) -> np.ndarray:
-        """Joint log likelihood at every grid point; shape (J,)."""
-        return self.grid_loglik(grid.points, beta_from_sigma(sigma))
-
     def profile_loglik(self, grid: ThetaGrid, sigma: float) -> float:
         """Log likelihood of sigma with theta averaged over the grid."""
-        return float(lse(grid.log_weights + self.loglik_grid(grid, sigma)))
+        return float(lse(grid.log_weights + self.grid_loglik(grid.points, beta_from_sigma(sigma))))
 
     def marker_pair_terms(self, i: int, theta: float, sigma: float) -> np.ndarray:
         """Unnormalized per-pair log weights for marker i; shape (P,)."""

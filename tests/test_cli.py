@@ -390,6 +390,9 @@ class TestCliRuns:
             (["bootstrap", "--n", "0"], "replicate count"),
             (["bootstrap", "--n", "-3"], "replicate count"),
             (["gibbs", "--thin", "0"], "thin"),
+            (["gibbs", "--burnin", "-1"], "burnin"),
+            (["deconvolve", "--n-samples", "0"], "sample count"),
+            (["deconvolve", "--n-samples", "-5"], "sample count"),
         ],
     )
     def test_invalid_numeric_option_exits_2(self, tmp_path, capsys, args, needle):

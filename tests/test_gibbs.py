@@ -10,14 +10,11 @@ from scipy.stats import chisquare, gamma as gamma_dist, kstest
 from peakmix.gibbs import (
     BetaPrior,
     _GibbsEngine,
-    ChainState,
     ConcavityError,
     ars_sample,
     bayes_config_probabilities,
     bayes_log10_lr,
     bayes_pair_probability,
-    gibbs_step,
-    initial_state,
     run_chain,
 )
 from peakmix.likelihood import MixtureLikelihood, ThetaGrid, loglik_joint, marker_loglik
@@ -153,13 +150,12 @@ class TestGibbsStep:
             ]
         ) + grid.log_weights
         exact = np.exp(logp - logsumexp(logp))
-        state = initial_state(ds, h, grid, BetaPrior(), freqs)
-        state = ChainState(state.genotypes, state.theta_index, beta)
+        eng = _GibbsEngine(ds, h, grid, BetaPrior(), freqs)
         n = 4000
         counts = np.zeros(len(grid))
         for i in range(n):
-            new = gibbs_step(state, ds, h, grid, BetaPrior(), freqs, substream(57, i))
-            counts[new.theta_index] += 1
+            _, j, _ = eng.step_indices(beta, substream(57, i))
+            counts[j] += 1
         freq = counts / n
         se = np.sqrt(exact * (1 - exact) / n)
         assert np.all(np.abs(freq - exact) <= 3 * se + 1e-12)
@@ -191,9 +187,10 @@ class TestGibbsStep:
         h = Hypothesis()
         grid = ThetaGrid.uniform(0.1)
         prior = BetaPrior()
-        state = initial_state(ds, h, grid, prior, freqs)
-        g1, g2 = state.genotypes.pair("M")
-        theta = grid.points[state.theta_index]
+        eng = _GibbsEngine(ds, h, grid, prior, freqs)
+        idx, j0, _ = eng.initial_indices()
+        g1, g2 = eng.ev.config_from_indices(idx).pair("M")
+        theta = grid.points[j0]
 
         def cond_logpdf(beta):
             return prior.logpdf(beta) + marker_loglik(
